@@ -2,7 +2,7 @@
 //! invocation as the number of controlled processes grows, plus the
 //! end-to-end overhead measurement at a few process counts.
 //!
-//! The `control_cycle` groups double as the scaling guard for the staged
+//! The `cycle_in_place` group doubles as the scaling guard for the staged
 //! pipeline refactor: the in-place cycle at 10/100/1000 jobs should scale
 //! roughly linearly (dense slot-indexed storage, no per-cycle allocation),
 //! where the old `BTreeMap`-walking controller degraded super-linearly.
@@ -11,7 +11,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rrs_bench::fig5::controller_utilisation;
 use rrs_core::{Controller, ControllerConfig, JobId, JobSpec};
 use rrs_queue::MetricRegistry;
-use std::collections::BTreeMap;
 use std::hint::black_box;
 
 fn controller_with_jobs(jobs: usize) -> Controller {
@@ -47,23 +46,6 @@ fn bench_control_cycle_in_place(c: &mut Criterion) {
     group.finish();
 }
 
-/// The compatibility path (map-based usage, owned output) for comparison.
-fn bench_control_cycle_compat(c: &mut Criterion) {
-    let mut group = c.benchmark_group("controller/cycle_compat");
-    for &jobs in &[10usize, 100, 1000] {
-        group.bench_with_input(BenchmarkId::from_parameter(jobs), &jobs, |b, &jobs| {
-            let mut controller = controller_with_jobs(jobs);
-            let usage = BTreeMap::new();
-            let mut t = 0.0;
-            b.iter(|| {
-                t += 0.01;
-                black_box(controller.control_cycle(t, &usage));
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_overhead_measurement(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig5/simulated_overhead");
     group.sample_size(10);
@@ -78,7 +60,6 @@ fn bench_overhead_measurement(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_control_cycle_in_place,
-    bench_control_cycle_compat,
     bench_overhead_measurement
 );
 criterion_main!(benches);

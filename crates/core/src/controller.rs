@@ -18,7 +18,6 @@ use crate::taxonomy::{JobClass, JobSpec};
 use rrs_queue::{JobKey, MetricRegistry};
 use rrs_scheduler::{CpuId, Proportion, Reservation};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Identifies a job to the controller.
 ///
@@ -941,26 +940,6 @@ impl Controller {
         output.total_granted_ppt = incr.granted_total_ppt;
         output.cost_us = config.cost_model.invocation_cost_us(jobs.len());
     }
-
-    /// Runs one control cycle at time `now_s` (seconds), with usage
-    /// feedback supplied as a map, and returns an owned copy of the output.
-    ///
-    /// Convenience wrapper over [`Controller::record_usage`] +
-    /// [`Controller::control_cycle_in_place`] for callers that are not on
-    /// the hot path; jobs missing from the map are assumed to have used
-    /// their full allocation.
-    pub fn control_cycle(
-        &mut self,
-        now_s: f64,
-        usage: &BTreeMap<JobId, UsageSnapshot>,
-    ) -> ControlOutput {
-        for (&job, &snapshot) in usage {
-            if let Some(slot) = self.jobs.slot_of(job) {
-                self.record_usage(slot, snapshot);
-            }
-        }
-        self.control_cycle_in_place(now_s).clone()
-    }
 }
 
 #[cfg(test)]
@@ -969,6 +948,7 @@ mod tests {
     use proptest::prelude::*;
     use rrs_queue::{BoundedBuffer, Role};
     use rrs_scheduler::Period;
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn controller() -> (Controller, MetricRegistry) {
@@ -978,10 +958,9 @@ mod tests {
     }
 
     fn run_cycles(c: &mut Controller, n: usize, dt: f64) -> ControlOutput {
-        let usage = BTreeMap::new();
         let mut out = ControlOutput::default();
         for i in 1..=n {
-            out = c.control_cycle(i as f64 * dt, &usage);
+            out = c.control_cycle_in_place(i as f64 * dt).clone();
         }
         out
     }
@@ -1144,11 +1123,10 @@ mod tests {
         reg.register(JobKey(2), Role::Consumer, queue);
         c.add_job(JobId(2), JobSpec::real_rate()).unwrap();
 
-        let usage = BTreeMap::new();
         let mut squished = false;
         let mut last_total = 0;
         for i in 1..=300 {
-            let out = c.control_cycle(i as f64 * 0.01, &usage);
+            let out = c.control_cycle_in_place(i as f64 * 0.01);
             last_total = out.total_granted_ppt;
             if out
                 .events
@@ -1219,10 +1197,9 @@ mod tests {
         c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
         c.add_job(JobId(2), JobSpec::miscellaneous()).unwrap();
 
-        let usage = BTreeMap::new();
         let mut saw_exception = false;
         for i in 1..=400 {
-            let out = c.control_cycle(i as f64 * 0.01, &usage);
+            let out = c.control_cycle_in_place(i as f64 * 0.01);
             if !out.quality_exceptions().is_empty() {
                 saw_exception = true;
                 let q = out.quality_exceptions()[0];
@@ -1241,14 +1218,13 @@ mod tests {
             queue.try_push(i).unwrap();
         }
         reg.register(JobKey(1), Role::Consumer, queue);
-        c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
+        let slot = c.add_job(JobId(1), JobSpec::real_rate()).unwrap();
 
         // First grow the allocation with full usage.
-        let full_usage = BTreeMap::new();
         let mut grown = 0;
         for i in 1..=100 {
             grown = c
-                .control_cycle(i as f64 * 0.01, &full_usage)
+                .control_cycle_in_place(i as f64 * 0.01)
                 .actuation_for(JobId(1))
                 .unwrap()
                 .reservation
@@ -1257,12 +1233,11 @@ mod tests {
         }
         // Now report that the job only uses 10 % of what it is given (for
         // example because the disk is the real bottleneck).
-        let mut low_usage = BTreeMap::new();
-        low_usage.insert(JobId(1), UsageSnapshot { usage_ratio: 0.1 });
         let mut shrunk = grown;
         for i in 101..=200 {
+            c.record_usage(slot, UsageSnapshot { usage_ratio: 0.1 });
             shrunk = c
-                .control_cycle(i as f64 * 0.01, &low_usage)
+                .control_cycle_in_place(i as f64 * 0.01)
                 .actuation_for(JobId(1))
                 .unwrap()
                 .reservation

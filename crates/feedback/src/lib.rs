@@ -3,39 +3,29 @@
 //!
 //! The paper's adaptive controller is "implemented using the SWiFT software
 //! feedback toolkit", a library of composable control-theory blocks (§3.3).
-//! SWiFT itself is not available, so this crate provides the equivalent
-//! substrate used by `rrs-core`:
+//! SWiFT itself is not available, so this crate provides the parts of it
+//! that `rrs-core` and `rrs-workloads` use:
 //!
 //! * [`PidController`] — proportional-integral-derivative control with
 //!   anti-windup and output clamping; this computes the cumulative progress
 //!   pressure `Q_t` of Figure 3.
-//! * [`filter`] — low-pass filters (exponentially weighted moving average,
-//!   windowed moving average, median) used to smooth noisy progress metrics.
-//! * [`block`] — primitive feedback blocks (gain, integrator, differentiator,
-//!   saturation, rate limiter, hysteresis, dead band) with a shared
-//!   [`block::Block`] trait.
-//! * [`circuit`] — series composition of blocks into a single transfer
-//!   element, mirroring SWiFT's "circuit" concept.
-//! * [`signal`] — deterministic signal generators (pulse trains, square,
-//!   sine, ramp, step) used by the workloads to reproduce the paper's
-//!   rising/falling production-rate pulses (Figure 6).
+//! * [`MovingAverage`] — a windowed low-pass filter used to smooth noisy
+//!   controller measurements.
+//! * [`PulseTrain`] — a deterministic pulse-train signal used by the
+//!   workloads to reproduce the paper's rising/falling production-rate
+//!   pulses (Figure 6).
 //!
-//! All blocks are discrete-time: they are stepped with an explicit `dt` so
-//! the same code runs under the simulator clock and under wall-clock time.
+//! Everything is discrete-time: the PID controller is stepped with an
+//! explicit `dt` and the pulse train is a pure function of time, so the
+//! same code runs under the simulator clock and under wall-clock time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod block;
-pub mod circuit;
 pub mod filter;
 pub mod pid;
 pub mod signal;
 
-pub use block::{
-    Block, DeadBand, Differentiator, Gain, Hysteresis, Integrator, RateLimiter, Saturation,
-};
-pub use circuit::Circuit;
-pub use filter::{Ewma, MedianFilter, MovingAverage};
+pub use filter::MovingAverage;
 pub use pid::{PidConfig, PidController};
-pub use signal::{PulseTrain, RampWave, SineWave, SquareWave, StepSignal};
+pub use signal::PulseTrain;

@@ -49,8 +49,8 @@ impl FillSample {
 
 /// A source of progress observations.
 ///
-/// Implemented by [`crate::BoundedBuffer`], [`crate::Pipe`] and the
-/// pseudo-progress adapters; the controller only ever sees this trait.
+/// Implemented by [`crate::BoundedBuffer`] and [`ConstantMetric`]; the
+/// controller only ever sees this trait.
 pub trait ProgressMetric: Send + Sync {
     /// Samples the current fill level.
     fn sample(&self) -> FillSample;

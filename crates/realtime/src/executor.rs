@@ -19,6 +19,7 @@ use rrs_scheduler::{
 };
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -106,6 +107,8 @@ pub struct ExecutorStats {
     /// Number of scheduling rounds executed (one dispatch sweep over
     /// every CPU each).
     pub rounds: u64,
+    /// Number of tasks retired because their step panicked.
+    pub failed_tasks: u64,
     /// Per-CPU breakdown (usage, idle, migrations), one entry per CPU.
     pub per_cpu: Vec<CpuStats>,
 }
@@ -121,6 +124,8 @@ struct WorkerReport {
     thread: ThreadId,
     elapsed: Duration,
     outcome: StepOutcome,
+    /// The step panicked; `outcome` is then [`StepOutcome::Done`].
+    panicked: bool,
 }
 
 struct TaskSlot {
@@ -372,7 +377,9 @@ impl RealTimeExecutor {
     /// panicking.
     ///
     /// `step` is called once per granted quantum with the quantum length and
-    /// must return whether the task wants to continue, block or finish.
+    /// must return whether the task wants to continue, block or finish.  A
+    /// `step` that panics retires its task and is counted in
+    /// [`ExecutorStats::failed_tasks`].
     pub fn try_spawn<F>(
         &mut self,
         name: &str,
@@ -426,14 +433,20 @@ impl RealTimeExecutor {
                         WorkerMessage::Stop => break,
                         WorkerMessage::Run(quantum) => {
                             let t0 = Instant::now();
-                            let outcome = step(quantum);
+                            // A panicking step still reports back (as a
+                            // finished task), so the round never waits on
+                            // a worker that has died.
+                            let result = catch_unwind(AssertUnwindSafe(|| step(quantum)));
                             let elapsed = t0.elapsed();
                             *cpu_time.lock().entry(raw).or_default() += elapsed;
+                            let panicked = result.is_err();
+                            let outcome = result.unwrap_or(StepOutcome::Done);
                             if report_tx
                                 .send(WorkerReport {
                                     thread,
                                     elapsed,
                                     outcome,
+                                    panicked,
                                 })
                                 .is_err()
                             {
@@ -568,6 +581,9 @@ impl RealTimeExecutor {
         let Some(slot) = self.tasks.get_mut(&report.thread) else {
             return;
         };
+        if report.panicked {
+            self.stats.failed_tasks += 1;
+        }
         match report.outcome {
             StepOutcome::Continue => {}
             StepOutcome::Blocked => {
@@ -822,5 +838,35 @@ mod tests {
         // It blocks after every step but should still have run several
         // times because the controller tick re-polls it.
         assert!(counter.load(Ordering::Relaxed) >= 2);
+    }
+
+    #[test]
+    fn a_panicking_task_is_retired_and_the_others_keep_running() {
+        let mut exec = RealTimeExecutor::new(ExecutorConfig::default());
+        let counter = Arc::new(AtomicU64::new(0));
+        let c = Arc::clone(&counter);
+        exec.spawn("spin", JobSpec::miscellaneous(), move |q| {
+            spin_for(q.min(Duration::from_micros(200)));
+            c.fetch_add(1, Ordering::Relaxed);
+            StepOutcome::Continue
+        });
+        let mut steps = 0u32;
+        exec.spawn("faulty", JobSpec::miscellaneous(), move |_q| {
+            steps += 1;
+            assert!(steps < 3, "faulty task gives up on its third step");
+            StepOutcome::Continue
+        });
+        let t0 = Instant::now();
+        exec.run_for(Duration::from_millis(200));
+        // Without the panic report the round would wait out its 5 s
+        // receive timeout and return early.
+        assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+        assert_eq!(exec.stats().failed_tasks, 1);
+        assert_eq!(exec.task_count(), 1);
+        let before = counter.load(Ordering::Relaxed);
+        assert!(before > 0);
+        exec.run_for(Duration::from_millis(50));
+        exec.shutdown();
+        assert!(counter.load(Ordering::Relaxed) > before);
     }
 }

@@ -7,6 +7,7 @@
 //! `scenario_runner` binary's exit status non-zero.
 
 use rrs_sim::Trace;
+use rrs_workloads::latency::LATENCY_RANGE_US;
 use rrs_workloads::LatencyStats;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -258,16 +259,33 @@ impl Slo {
                 max_ms,
             } => match obs.latencies.iter().find(|(name, _)| name == source) {
                 Some((_, stats)) if stats.count() > 0 => {
-                    let ms = stats.percentile_us(*percentile) / 1e3;
-                    (
-                        format!(
-                            "p{percentile} latency of '{source}' {ms:.2} ms ≤ {max_ms} ms \
-                             ({} samples)",
-                            stats.count()
-                        ),
-                        ms,
-                        ms <= *max_ms,
-                    )
+                    let us = stats.percentile_us(*percentile);
+                    let ms = us / 1e3;
+                    // Samples at or above the histogram range are clamped
+                    // into its top bucket, so a percentile read there is
+                    // only a lower bound on the real tail.
+                    if us >= LATENCY_RANGE_US - LatencyStats::BUCKET_WIDTH_US {
+                        (
+                            format!(
+                                "p{percentile} latency of '{source}' clipped at the \
+                                 {:.0} ms histogram limit ({} samples)",
+                                LATENCY_RANGE_US / 1e3,
+                                stats.count()
+                            ),
+                            ms,
+                            false,
+                        )
+                    } else {
+                        (
+                            format!(
+                                "p{percentile} latency of '{source}' {ms:.2} ms ≤ {max_ms} ms \
+                                 ({} samples)",
+                                stats.count()
+                            ),
+                            ms,
+                            ms <= *max_ms,
+                        )
+                    }
                 }
                 _ => (
                     format!("source '{source}' recorded no latency samples"),
@@ -413,6 +431,28 @@ mod tests {
         .evaluate(&o);
         assert!(!missing.passed);
         assert_eq!(missing.measured, -1.0);
+    }
+
+    #[test]
+    fn latency_band_fails_when_the_percentile_is_clipped() {
+        let trace = Trace::new();
+        let mut o = obs(&trace);
+        let stats = LatencyStats::new();
+        for _ in 0..10 {
+            stats.record_us(2_000_000);
+        }
+        let latencies = vec![("server".to_string(), stats)];
+        o.latencies = &latencies;
+        // The 2 s tail reads as the top bucket's midpoint (999.875 ms),
+        // which must not pass a 1.5 s band.
+        let band = Slo::LatencyBand {
+            source: "server".into(),
+            percentile: 99.0,
+            max_ms: 1500.0,
+        }
+        .evaluate(&o);
+        assert!(!band.passed, "{}", band.description);
+        assert!(band.description.contains("clipped"), "{}", band.description);
     }
 
     #[test]

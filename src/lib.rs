@@ -25,10 +25,11 @@
 //!   ([`scheduler::Machine`]): `N` per-CPU dispatchers advancing in
 //!   lockstep behind the single-CPU API, with cross-CPU migration that
 //!   preserves mid-period accounting ([`scheduler::CpuId`]).
-//! * [`queue`] (`rrs-queue`) — symbiotic interfaces: bounded buffers, pipes
-//!   and the progress-metric registry.
-//! * [`feedback`] (`rrs-feedback`) — the software feedback toolkit (PID,
-//!   filters, signal generators, circuits).
+//! * [`queue`] (`rrs-queue`) — symbiotic interfaces: bounded buffers and
+//!   the progress-metric registry.
+//! * [`feedback`] (`rrs-feedback`) — the parts of a software feedback
+//!   toolkit the controller and workloads use (PID, moving average, pulse
+//!   train).
 //! * [`sim`] (`rrs-sim`) — the deterministic CPU simulator backend.
 //! * [`workloads`] (`rrs-workloads`) — the workload generators driving the
 //!   paper's evaluation; their installers take any [`api::Host`].
