@@ -1,4 +1,4 @@
-//! Low-pass filtering for smoothing noisy controller measurements.
+//! Low-pass filters for smoothing noisy progress metrics.
 //!
 //! §4.1 of the paper: "Using a suitable low-pass filter, we can schedule
 //! jobs with reasonable responsiveness and low overhead while keeping the
@@ -7,6 +7,68 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+
+/// Exponentially weighted moving average (first-order IIR low-pass filter).
+///
+/// `alpha` is the weight of the newest sample: `y ← α·x + (1-α)·y`.
+///
+/// # Examples
+///
+/// ```
+/// use rrs_feedback::Ewma;
+///
+/// let mut f = Ewma::new(0.5);
+/// assert_eq!(f.update(10.0), 10.0); // first sample initialises the state
+/// assert_eq!(f.update(0.0), 5.0);
+/// ```
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+pub struct Ewma {
+    alpha: f64,
+    state: Option<f64>,
+}
+
+impl Ewma {
+    /// Creates a filter with smoothing factor `alpha`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < alpha <= 1`.
+    pub fn new(alpha: f64) -> Self {
+        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0, 1]");
+        Self { alpha, state: None }
+    }
+
+    /// Creates a filter whose time constant is `tau` seconds when sampled
+    /// every `dt` seconds (`alpha = dt / (tau + dt)`).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both `tau` and `dt` are positive.
+    pub fn with_time_constant(tau: f64, dt: f64) -> Self {
+        assert!(tau > 0.0 && dt > 0.0, "tau and dt must be positive");
+        Self::new(dt / (tau + dt))
+    }
+
+    /// Feeds a sample and returns the filtered value.
+    pub fn update(&mut self, x: f64) -> f64 {
+        let next = match self.state {
+            None => x,
+            Some(prev) => self.alpha * x + (1.0 - self.alpha) * prev,
+        };
+        self.state = Some(next);
+        next
+    }
+
+    /// Returns the current filtered value, if any sample has been seen.
+    pub fn value(&self) -> Option<f64> {
+        self.state
+    }
+
+    /// Clears the filter state.
+    pub fn reset(&mut self) {
+        self.state = None;
+    }
+}
 
 /// Windowed (simple) moving average.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -69,10 +131,104 @@ impl MovingAverage {
     }
 }
 
+/// Median filter over a sliding window; robust to single-sample spikes.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct MedianFilter {
+    window: usize,
+    samples: VecDeque<f64>,
+}
+
+impl MedianFilter {
+    /// Creates a median filter over the last `window` samples.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window == 0`.
+    pub fn new(window: usize) -> Self {
+        assert!(window > 0, "window must be non-zero");
+        Self {
+            window,
+            samples: VecDeque::with_capacity(window),
+        }
+    }
+
+    /// Feeds a sample and returns the median of the window.
+    pub fn update(&mut self, x: f64) -> f64 {
+        self.samples.push_back(x);
+        if self.samples.len() > self.window {
+            self.samples.pop_front();
+        }
+        self.value()
+    }
+
+    /// Returns the median of the current window (0.0 with no samples).
+    pub fn value(&self) -> f64 {
+        if self.samples.is_empty() {
+            return 0.0;
+        }
+        let mut sorted: Vec<f64> = self.samples.iter().copied().collect();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("samples must not be NaN"));
+        let n = sorted.len();
+        if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+        }
+    }
+
+    /// Clears the window.
+    pub fn reset(&mut self) {
+        self.samples.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn ewma_first_sample_initialises() {
+        let mut f = Ewma::new(0.1);
+        assert_eq!(f.value(), None);
+        assert_eq!(f.update(4.0), 4.0);
+        assert_eq!(f.value(), Some(4.0));
+    }
+
+    #[test]
+    fn ewma_converges_to_constant_input() {
+        let mut f = Ewma::new(0.2);
+        f.update(0.0);
+        let mut last = 0.0;
+        for _ in 0..200 {
+            last = f.update(10.0);
+        }
+        assert!((last - 10.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn ewma_time_constant_constructor() {
+        let f = Ewma::with_time_constant(1.0, 1.0);
+        // alpha = 1 / 2.
+        let mut f = f;
+        f.update(0.0);
+        assert_eq!(f.update(10.0), 5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "alpha must be in (0, 1]")]
+    fn ewma_rejects_zero_alpha() {
+        let _ = Ewma::new(0.0);
+    }
+
+    #[test]
+    fn ewma_reset_clears_state() {
+        let mut f = Ewma::new(0.5);
+        f.update(3.0);
+        f.reset();
+        assert_eq!(f.value(), None);
+        assert_eq!(f.update(7.0), 7.0);
+    }
 
     #[test]
     fn moving_average_over_partial_window() {
@@ -113,7 +269,45 @@ mod tests {
         let _ = MovingAverage::new(0);
     }
 
+    #[test]
+    fn median_filter_rejects_spikes() {
+        let mut f = MedianFilter::new(3);
+        f.update(1.0);
+        f.update(1.0);
+        // A single spike does not move the median.
+        assert_eq!(f.update(100.0), 1.0);
+    }
+
+    #[test]
+    fn median_of_even_window_averages_middle_pair() {
+        let mut f = MedianFilter::new(4);
+        for v in [1.0, 2.0, 3.0, 4.0] {
+            f.update(v);
+        }
+        assert_eq!(f.value(), 2.5);
+    }
+
+    #[test]
+    fn median_empty_is_zero() {
+        let f = MedianFilter::new(3);
+        assert_eq!(f.value(), 0.0);
+    }
+
     proptest! {
+        #[test]
+        fn ewma_output_is_bounded_by_input_range(
+            alpha in 0.01f64..1.0,
+            values in proptest::collection::vec(-100.0f64..100.0, 1..100),
+        ) {
+            let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            let mut f = Ewma::new(alpha);
+            for &v in &values {
+                let y = f.update(v);
+                prop_assert!(y >= lo - 1e-9 && y <= hi + 1e-9);
+            }
+        }
+
         #[test]
         fn moving_average_is_bounded_by_window_extremes(
             window in 1usize..10,
@@ -127,6 +321,17 @@ mod tests {
             let lo = tail.iter().copied().fold(f64::INFINITY, f64::min);
             let hi = tail.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(m.value() >= lo - 1e-9 && m.value() <= hi + 1e-9);
+        }
+
+        #[test]
+        fn median_is_an_element_or_midpoint(
+            values in proptest::collection::vec(-50.0f64..50.0, 1..50),
+        ) {
+            let mut f = MedianFilter::new(5);
+            for &v in &values {
+                let med = f.update(v);
+                prop_assert!(med.is_finite());
+            }
         }
     }
 }

@@ -9,15 +9,15 @@
 //! * [`PidController`] — proportional-integral-derivative control with
 //!   anti-windup and output clamping; this computes the cumulative progress
 //!   pressure `Q_t` of Figure 3.
-//! * [`MovingAverage`] — a windowed low-pass filter used to smooth noisy
-//!   controller measurements.
-//! * [`PulseTrain`] — a deterministic pulse-train signal used by the
-//!   workloads to reproduce the paper's rising/falling production-rate
-//!   pulses (Figure 6).
+//! * [`filter`] — low-pass filters (exponentially weighted moving average,
+//!   windowed moving average, median) used to smooth noisy progress metrics.
+//! * [`signal`] — deterministic signal generators (pulse trains, square,
+//!   sine, ramp, step) used by the workloads to reproduce the paper's
+//!   rising/falling production-rate pulses (Figure 6).
 //!
 //! Everything is discrete-time: the PID controller is stepped with an
-//! explicit `dt` and the pulse train is a pure function of time, so the
-//! same code runs under the simulator clock and under wall-clock time.
+//! explicit `dt` and the signals are pure functions of time, so the same
+//! code runs under the simulator clock and under wall-clock time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -26,6 +26,6 @@ pub mod filter;
 pub mod pid;
 pub mod signal;
 
-pub use filter::MovingAverage;
+pub use filter::{Ewma, MedianFilter, MovingAverage};
 pub use pid::{PidConfig, PidController};
-pub use signal::PulseTrain;
+pub use signal::{PulseTrain, RampWave, SineWave, SquareWave, StepSignal};

@@ -80,6 +80,12 @@ impl Histogram {
         &self.buckets
     }
 
+    /// Returns the lower edge of bucket `i`.
+    pub fn bucket_lower_edge(&self, i: usize) -> f64 {
+        let width = (self.hi - self.lo) / self.buckets.len() as f64;
+        self.lo + width * i as f64
+    }
+
     /// Approximates the `p`-th percentile (0–100) using the bucket midpoints.
     ///
     /// Returns 0.0 if the histogram is empty. `p` is clamped to `[0, 100]`.
@@ -98,6 +104,15 @@ impl Histogram {
             }
         }
         self.hi
+    }
+
+    /// Fraction of values in `[lo, hi)` of the given bucket index.
+    pub fn bucket_fraction(&self, i: usize) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.buckets[i] as f64 / self.count as f64
+        }
     }
 
     /// Merges another histogram with the same shape into this one.
@@ -166,6 +181,17 @@ mod tests {
         let p99 = h.percentile(99.0);
         assert!(p10 < p50 && p50 < p99);
         assert!((p50 - 49.5).abs() < 1.0);
+    }
+
+    #[test]
+    fn bucket_lower_edge_and_fraction() {
+        let mut h = Histogram::new(0.0, 10.0, 5);
+        h.record(1.0);
+        h.record(1.5);
+        h.record(9.0);
+        assert_eq!(h.bucket_lower_edge(0), 0.0);
+        assert_eq!(h.bucket_lower_edge(4), 8.0);
+        assert!((h.bucket_fraction(0) - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

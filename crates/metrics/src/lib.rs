@@ -5,8 +5,8 @@
 //! overhead.  This crate provides the small amount of numerical
 //! infrastructure those experiments need:
 //!
-//! * [`TimeSeries`] — an append-only `(time, value)` series with windowing
-//!   and summary statistics.
+//! * [`TimeSeries`] — an append-only `(time, value)` series with windowing,
+//!   resampling and summary statistics.
 //! * [`stats`] — scalar summaries ([`stats::Summary`]) and streaming
 //!   statistics ([`stats::OnlineStats`]).
 //! * [`histogram`] — a fixed-bucket histogram with percentile queries.

@@ -131,6 +131,16 @@ pub fn ascii_plot(series: &TimeSeries, config: PlotConfig) -> String {
     out
 }
 
+/// Renders several series stacked vertically, each with the same config.
+pub fn ascii_plot_many(series: &[&TimeSeries], config: PlotConfig) -> String {
+    let mut out = String::new();
+    for s in series {
+        out.push_str(&ascii_plot(s, config));
+        out.push('\n');
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,5 +203,13 @@ mod tests {
         let out = ascii_plot(&ts, config);
         assert!(out.contains("1.000"));
         assert!(out.contains("0.000"));
+    }
+
+    #[test]
+    fn plot_many_concatenates() {
+        let a = ramp(10);
+        let b = ramp(10);
+        let out = ascii_plot_many(&[&a, &b], PlotConfig::default());
+        assert_eq!(out.matches("ramp").count(), 2);
     }
 }

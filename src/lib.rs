@@ -27,9 +27,8 @@
 //!   preserves mid-period accounting ([`scheduler::CpuId`]).
 //! * [`queue`] (`rrs-queue`) — symbiotic interfaces: bounded buffers and
 //!   the progress-metric registry.
-//! * [`feedback`] (`rrs-feedback`) — the parts of a software feedback
-//!   toolkit the controller and workloads use (PID, moving average, pulse
-//!   train).
+//! * [`feedback`] (`rrs-feedback`) — the software feedback toolkit (PID,
+//!   filters, signal generators).
 //! * [`sim`] (`rrs-sim`) — the deterministic CPU simulator backend.
 //! * [`workloads`] (`rrs-workloads`) — the workload generators driving the
 //!   paper's evaluation; their installers take any [`api::Host`].

@@ -4,9 +4,11 @@
 //! below) and, separately, that an enabled telemetry recorder stays
 //! allocation-free once its pre-allocated ring has wrapped.
 //!
-//! This file must contain only this one test: the counting allocator is
-//! process-global, so any concurrently running test in the same binary
-//! would pollute the measurement.
+//! The counting allocator counts per thread and the measurements read the
+//! calling thread's count only.  The code under test runs on that thread;
+//! other threads in the process (the test harness's main thread allocates
+//! when it first blocks on its result channel, which on a loaded machine
+//! can land inside a measured window) must not pollute the measurement.
 
 use realrate::core::{Controller, ControllerConfig, JobId, JobSpec, UsageSnapshot};
 use realrate::queue::{BoundedBuffer, JobKey, MetricRegistry, Role};
@@ -14,20 +16,34 @@ use realrate::telemetry::{
     CalendarEventKind, Recorder, SettleCause, TelemetryConfig, TraceEventKind,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Heap allocations made by the current thread.  Const-initialised and
+    /// drop-free, so touching it never allocates.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: pure pass-through to `System` that only bumps a relaxed atomic
+/// Heap allocations made so far by the calling thread.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+fn count_allocation() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: pure pass-through to `System` that only bumps a thread-local
 // counter on the side; every GlobalAlloc contract obligation (layout
 // validity, pointer provenance, thread safety) is delegated unchanged.
 unsafe impl GlobalAlloc for CountingAllocator {
     // SAFETY: forwards the caller's contract to `System` verbatim.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: caller upholds GlobalAlloc's `alloc` contract (non-zero
         // layout); we forward it verbatim to `System`.
         unsafe { System.alloc(layout) }
@@ -43,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     // SAFETY: forwards the caller's contract to `System` verbatim.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         // SAFETY: same delegation as `dealloc` — `ptr` originates from
         // `System` via our `alloc`, and the caller upholds the layout and
         // `new_size` requirements of `GlobalAlloc::realloc`.
@@ -103,7 +119,7 @@ fn assert_steady_state_allocation_free(config: ControllerConfig) {
 
     // Measure: steady-state cycles, including the usage-recording sweep a
     // host layer performs, must not touch the heap at all.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 301..=500 {
         controller.record_usage(consumer, UsageSnapshot { usage_ratio: 1.0 });
         for &hog in &hogs {
@@ -112,7 +128,7 @@ fn assert_steady_state_allocation_free(config: ControllerConfig) {
         let out = controller.control_cycle_in_place(i as f64 * 0.01);
         assert_eq!(out.actuations.len(), 9);
     }
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -168,12 +184,12 @@ fn assert_steady_state_recording_allocation_free() {
     }
     assert!(rec.dropped() > 0, "the warmup must wrap the ring");
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for i in 2048..4096u64 {
         rec.record(i, kinds[i as usize % kinds.len()]);
     }
     let held = rec.len();
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -188,8 +204,8 @@ fn assert_steady_state_recording_allocation_free() {
 /// barriers themselves are exempt (the rebalancer's extract/inject and
 /// the trace merge may allocate; they run on the slow cadence, not the
 /// hot path), so the measured window is placed strictly inside one
-/// barrier interval.  Sequential mode — spawning scoped threads
-/// allocates, and parallel execution is bit-identical anyway.
+/// barrier interval.  Sequential mode keeps every shard on the measuring
+/// thread (and parallel execution is bit-identical anyway).
 ///
 /// The warmed advance window below drives the full per-shard stack —
 /// dispatcher spans (runqueue picks, timer-list rollovers), the event
@@ -234,9 +250,9 @@ fn assert_sharded_steady_state_allocation_free() {
     // event buffers reach steady-state capacity.
     sim.run_for(1.0);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     sim.run_for(0.5);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -248,8 +264,7 @@ fn assert_sharded_steady_state_allocation_free() {
 #[test]
 fn steady_state_control_cycle_is_allocation_free() {
     // The paper's single CPU, and a 4-CPU machine with the Place stage
-    // doing per-CPU load accounting (run sequentially: the counting
-    // allocator is process-global).  Both run with telemetry disabled —
+    // doing per-CPU load accounting.  Both run with telemetry disabled —
     // the default — so they also pin the recorder-absent cost at zero.
     assert_steady_state_allocation_free(ControllerConfig::default());
     assert_steady_state_allocation_free(ControllerConfig::default().with_cpus(4));
