@@ -15,7 +15,7 @@ use rrs_core::{
 };
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
-    CpuId, CpuStats, DispatcherConfig, Machine, Reservation, ThreadId, UsageAccount,
+    CpuId, CpuStats, DispatcherConfig, Machine, Reservation, ThreadId, ThreadSlot, UsageAccount,
 };
 use rrs_telemetry::{Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind};
 use std::collections::BTreeMap;
@@ -163,9 +163,10 @@ pub struct RealTimeExecutor {
     machine: Machine,
     controller: Controller,
     tasks: BTreeMap<ThreadId, TaskSlot>,
-    /// Slot-indexed map back to the dispatcher's thread id, so actuations
-    /// apply without re-deriving `JobId ↔ ThreadId`.
-    slot_threads: Vec<Option<ThreadId>>,
+    /// Controller-slot-indexed thread id and machine address (CPU and
+    /// dispatcher slot) of every live task, kept current on spawn, remove
+    /// and Place-stage migration, so actuations apply with no id lookup.
+    addrs: Vec<Option<(ThreadId, ThreadSlot)>>,
     reports: (Sender<WorkerReport>, Receiver<WorkerReport>),
     next_id: u64,
     start: Instant,
@@ -186,7 +187,7 @@ impl RealTimeExecutor {
             registry,
             config,
             tasks: BTreeMap::new(),
-            slot_threads: Vec::new(),
+            addrs: Vec::new(),
             reports: bounded(64),
             next_id: 1,
             start: Instant::now(),
@@ -402,10 +403,6 @@ impl RealTimeExecutor {
             }
         };
         self.next_id += 1;
-        if self.slot_threads.len() <= slot.index() {
-            self.slot_threads.resize(slot.index() + 1, None);
-        }
-        self.slot_threads[slot.index()] = Some(thread);
 
         let initial = Reservation::new(
             spec.proportion
@@ -417,9 +414,14 @@ impl RealTimeExecutor {
             .controller
             .cpu_of_slot(slot)
             .expect("slot was just created");
-        self.machine
+        let at = self
+            .machine
             .add_thread_preadmitted_on(cpu, thread, initial)
             .expect("fresh id");
+        if self.addrs.len() <= slot.index() {
+            self.addrs.resize(slot.index() + 1, None);
+        }
+        self.addrs[slot.index()] = Some((thread, at));
 
         let (to_worker, from_executor) = bounded::<WorkerMessage>(1);
         let report_tx = self.reports.0.clone();
@@ -494,7 +496,7 @@ impl RealTimeExecutor {
         // otherwise accumulate forever under job churn.
         self.cpu_time.lock().remove(&handle.thread.raw());
         if self.controller.remove_slot(handle.slot) {
-            if let Some(entry) = self.slot_threads.get_mut(handle.slot.index()) {
+            if let Some(entry) = self.addrs.get_mut(handle.slot.index()) {
                 *entry = None;
             }
         }
@@ -624,19 +626,22 @@ impl RealTimeExecutor {
             }
         }
         for actuation in &out.actuations {
-            if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
-                let _ = self.machine.set_reservation(*tid, actuation.reservation);
-                // Apply the Place stage's decision: logically reshard the
-                // worker onto its assigned CPU.
-                let from = self.machine.cpu_of(*tid);
-                if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
-                {
-                    self.stats.migrations += 1;
-                    if let Some(from) = from {
-                        self.stats.per_cpu[from.index()].migrations_out += 1;
-                    }
-                    self.stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
-                }
+            let Some(Some((tid, at))) = self.addrs.get_mut(actuation.slot.index()) else {
+                continue;
+            };
+            debug_assert_eq!(self.machine.slot_of(*tid), Some(*at), "stale address");
+            self.machine
+                .set_reservation_slot(*at, actuation.reservation);
+            // Apply the Place stage's decision: logically reshard the
+            // worker onto its assigned CPU.
+            if at.cpu == actuation.cpu {
+                continue;
+            }
+            if let Ok((from, new_at)) = self.machine.migrate(*tid, actuation.cpu) {
+                *at = new_at;
+                self.stats.migrations += 1;
+                self.stats.per_cpu[from.index()].migrations_out += 1;
+                self.stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
             }
         }
         if let (Some(recorder), Some(started)) = (&self.telemetry, timer) {

@@ -27,7 +27,9 @@
 //! and the watch list all speak slots.  The steady-state span loop the
 //! simulator drives ([`Dispatcher::dispatch`] →
 //! [`Dispatcher::charge_span`] → [`Dispatcher::advance_to`]) therefore
-//! touches no maps at all, and two further mechanisms remove the remaining
+//! touches no maps at all, nor does the controller's per-cycle actuation
+//! ([`Dispatcher::set_reservation_slot`], with a slot the caller got back
+//! when it placed the thread).  Two further mechanisms remove the remaining
 //! per-span work on an uncontended CPU:
 //!
 //! * **The next-quantum cache.** `queue_gen` counts every mutation that
@@ -482,13 +484,12 @@ impl Dispatcher {
         self.admission
     }
 
-    /// Resolves an id to its dense slot and entry, for the mutating paths.
-    fn entry_mut_of(&mut self, id: ThreadId) -> Result<(u32, &mut ThreadEntry), SchedError> {
-        let &idx = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
-        let entry = self.entries[idx as usize]
-            .as_mut()
-            .expect("by_id maps every id to an occupied slot (unlink removes both together)");
-        Ok((idx, entry))
+    /// The dense slot a thread occupies — the one edge lookup a caller
+    /// makes to obtain a handle for the slot-addressed calls
+    /// ([`Dispatcher::set_reservation_slot`], [`Dispatcher::unblock_slot`]).
+    /// The slot is stable until the thread leaves this dispatcher.
+    pub fn slot_of(&self, id: ThreadId) -> Option<u32> {
+        self.by_id.get(&id).copied()
     }
 
     fn entry_of(&self, id: ThreadId) -> Option<&ThreadEntry> {
@@ -586,6 +587,11 @@ impl Dispatcher {
     /// control; the new thread starts Ready with a full budget and a period
     /// timer armed at `now + period`.
     pub fn add_thread(&mut self, id: ThreadId, class: ThreadClass) -> Result<(), SchedError> {
+        self.add_thread_slot(id, class).map(|_| ())
+    }
+
+    /// [`Dispatcher::add_thread`], returning the new thread's dense slot.
+    fn add_thread_slot(&mut self, id: ThreadId, class: ThreadClass) -> Result<u32, SchedError> {
         if self.by_id.contains_key(&id) {
             return Err(SchedError::DuplicateThread(id));
         }
@@ -617,7 +623,7 @@ impl Dispatcher {
         if reserved && !self.config.lazy_rollovers {
             self.timers.arm(idx, id, next_boundary_us);
         }
-        Ok(())
+        Ok(idx)
     }
 
     /// Registers a thread whose reservation was already admitted by a
@@ -627,16 +633,15 @@ impl Dispatcher {
     /// The controller squishes allocations instead of rejecting them, so
     /// its running jobs can legitimately sit at the admission threshold;
     /// re-checking here would spuriously reject late arrivals.  Fails only
-    /// on a duplicate id.
+    /// on a duplicate id.  Returns the thread's dense slot.
     pub fn add_thread_preadmitted(
         &mut self,
         id: ThreadId,
         reservation: Reservation,
-    ) -> Result<(), SchedError> {
-        self.add_thread(id, ThreadClass::BestEffort)?;
-        self.set_reservation(id, reservation)
-            .expect("thread was just added");
-        Ok(())
+    ) -> Result<u32, SchedError> {
+        let idx = self.add_thread_slot(id, ThreadClass::BestEffort)?;
+        self.set_reservation_slot(idx, reservation);
+        Ok(idx)
     }
 
     /// Lifts a thread out of this dispatcher for migration to another CPU,
@@ -686,8 +691,8 @@ impl Dispatcher {
     /// on this CPU's clock it fires at the next
     /// [`Dispatcher::advance_to`].  Admission is not re-checked: placement
     /// is the migrating authority's responsibility, exactly like the
-    /// controller's actuation path.
-    pub fn inject_thread(&mut self, thread: MigratedThread) -> Result<(), SchedError> {
+    /// controller's actuation path.  Returns the thread's dense slot here.
+    pub fn inject_thread(&mut self, thread: MigratedThread) -> Result<u32, SchedError> {
         if self.by_id.contains_key(&thread.id) {
             return Err(SchedError::DuplicateThread(thread.id));
         }
@@ -735,7 +740,7 @@ impl Dispatcher {
                 }
             }
         }
-        Ok(())
+        Ok(idx)
     }
 
     /// The earliest armed period timer, if any — the next instant at which
@@ -778,29 +783,48 @@ impl Dispatcher {
         Ok(())
     }
 
-    /// Changes a thread's reservation — the actuation path used by the
-    /// controller every controller period.  The change takes effect
-    /// immediately for the budget of future periods; the current period's
-    /// budget is adjusted proportionally if it grows.
-    ///
-    /// Admission is *not* re-checked here: the controller is responsible for
-    /// keeping the total under the threshold (it squishes allocations when
-    /// the system would otherwise be oversubscribed).
+    /// Changes a thread's reservation, resolving its id — the public-API
+    /// edge over [`Dispatcher::set_reservation_slot`].
     pub fn set_reservation(
         &mut self,
         id: ThreadId,
         reservation: Reservation,
     ) -> Result<(), SchedError> {
+        // Settle before the lookup, like every id-keyed mutator, so an
+        // unknown id still flushes the span batch.
+        self.settle_span();
+        let &slot = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
+        self.set_reservation_slot(slot, reservation);
+        Ok(())
+    }
+
+    /// Changes the reservation of the thread in dense slot `idx` — the
+    /// actuation path used by the controller every controller period.  The
+    /// change takes effect immediately for the budget of future periods;
+    /// the current period's budget is adjusted proportionally if it grows.
+    ///
+    /// Admission is *not* re-checked here: the controller is responsible for
+    /// keeping the total under the threshold (it squishes allocations when
+    /// the system would otherwise be oversubscribed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is a free slot.  Slots come from
+    /// [`Dispatcher::slot_of`] or the call that placed the thread here, and
+    /// stay valid until the thread leaves this dispatcher.
+    pub fn set_reservation_slot(&mut self, idx: u32, reservation: Reservation) {
         let now = self.now_us;
         let lazy = self.config.lazy_rollovers;
         self.settle_span();
-        let &slot = self.by_id.get(&id).ok_or(SchedError::UnknownThread(id))?;
         if lazy {
             // Settle the old reservation's boundary backlog before the grid
             // is re-anchored below.
-            self.sync_entry(slot);
+            self.sync_entry(idx);
         }
-        let (idx, entry) = self.entry_mut_of(id)?;
+        let entry = self.entries[idx as usize]
+            .as_mut()
+            .expect("set_reservation_slot receives a live slot handle");
+        let id = entry.id;
         let old_class = entry.class;
         entry.class = ThreadClass::Reserved(reservation);
         let new_budget = reservation.budget_micros();
@@ -831,18 +855,17 @@ impl Dispatcher {
             // Restore the lazy timer invariant: exactly the throttled
             // threads keep a release timer armed, at their next boundary.
             if throttled {
-                self.timers.arm(slot, id, next_boundary_us);
+                self.timers.arm(idx, id, next_boundary_us);
             } else {
-                self.timers.cancel(slot);
+                self.timers.cancel(idx);
             }
         } else if period_changed {
             // Eager mode: re-arm the period timer from now.
             self.timers
-                .arm(slot, id, now + reservation.period.as_micros());
+                .arm(idx, id, now + reservation.period.as_micros());
         }
         self.reindex(idx);
         self.watch(idx);
-        Ok(())
     }
 
     /// Returns a thread's current reservation, if it is reserved.

@@ -51,7 +51,7 @@ pub use dispatcher::{
     ThreadClass,
 };
 pub use error::SchedError;
-pub use machine::{CpuStats, Machine};
+pub use machine::{CpuStats, Machine, ThreadSlot};
 pub use reservation::Reservation;
 pub use settle::{charge_exhausts, span_settle_reason, SettleReason};
 pub use types::{CpuId, Period, Proportion, ThreadId, ThreadState};

@@ -61,6 +61,23 @@ pub struct CpuStats {
     pub deadlines_missed: u64,
 }
 
+/// A thread's dense address on a [`Machine`]: the CPU it is placed on and
+/// its slot in that CPU's dispatcher.
+///
+/// The calls that place a thread return it
+/// ([`Machine::add_thread_preadmitted_on`], [`Machine::inject_thread_on`],
+/// [`Machine::migrate`]), so a caller that keeps a table of addresses can
+/// drive [`Machine::set_reservation_slot`] without any id lookup.  An
+/// address is valid until the thread leaves its CPU (removal, migration or
+/// extraction); after that the slot may be reused by another thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ThreadSlot {
+    /// The CPU the thread is placed on.
+    pub cpu: CpuId,
+    /// The thread's dense slot in that CPU's dispatcher.
+    pub slot: u32,
+}
+
 /// A machine of `N` per-CPU dispatchers behind the single-CPU API.
 ///
 /// # Examples
@@ -194,6 +211,14 @@ impl Machine {
         self.placement.get(&id).copied()
     }
 
+    /// A thread's current dense address, resolved through the placement
+    /// map and the owning dispatcher's id map.
+    pub fn slot_of(&self, id: ThreadId) -> Option<ThreadSlot> {
+        let cpu = self.cpu_of(id)?;
+        let slot = self.cpus[cpu.index()].slot_of(id)?;
+        Some(ThreadSlot { cpu, slot })
+    }
+
     /// Total number of threads across all CPUs.
     pub fn thread_count(&self) -> usize {
         self.placement.len()
@@ -277,22 +302,24 @@ impl Machine {
         reservation: Reservation,
     ) -> Result<CpuId, SchedError> {
         self.add_thread_preadmitted_on(self.least_loaded_cpu(), id, reservation)
+            .map(|at| at.cpu)
     }
 
     /// Registers a pre-admitted thread on an explicit CPU — the placement
     /// authority (the control pipeline's Place stage) has already chosen.
+    /// Returns the thread's address.
     pub fn add_thread_preadmitted_on(
         &mut self,
         cpu: CpuId,
         id: ThreadId,
         reservation: Reservation,
-    ) -> Result<CpuId, SchedError> {
+    ) -> Result<ThreadSlot, SchedError> {
         if self.placement.contains_key(&id) {
             return Err(SchedError::DuplicateThread(id));
         }
-        self.cpus[cpu.index()].add_thread_preadmitted(id, reservation)?;
+        let slot = self.cpus[cpu.index()].add_thread_preadmitted(id, reservation)?;
         self.placement.insert(id, cpu);
-        Ok(cpu)
+        Ok(ThreadSlot { cpu, slot })
     }
 
     /// Removes a thread from whichever CPU holds it.
@@ -305,18 +332,23 @@ impl Machine {
     }
 
     /// Moves a thread to another CPU, preserving its reservation, throttle
-    /// state and mid-period usage account.  Returns the CPU it came from;
-    /// migrating a thread to the CPU it is already on is a no-op.
-    pub fn migrate(&mut self, id: ThreadId, to: CpuId) -> Result<CpuId, SchedError> {
+    /// state and mid-period usage account.  Returns the CPU it came from
+    /// and the thread's new address (its slot changes, because it is
+    /// re-linked on the destination); migrating a thread to the CPU it is
+    /// already on is a no-op.
+    pub fn migrate(&mut self, id: ThreadId, to: CpuId) -> Result<(CpuId, ThreadSlot), SchedError> {
         let from = self.cpu_of(id).ok_or(SchedError::UnknownThread(id))?;
         if to.index() >= self.cpus.len() {
             return Err(SchedError::InvalidState(id, "destination CPU out of range"));
         }
         if from == to {
-            return Ok(from);
+            let slot = self.cpus[from.index()]
+                .slot_of(id)
+                .expect("placement names the CPU that holds the thread");
+            return Ok((from, ThreadSlot { cpu: from, slot }));
         }
         let thread = self.cpus[from.index()].take_thread(id)?;
-        self.cpus[to.index()]
+        let slot = self.cpus[to.index()]
             .inject_thread(thread)
             .expect("destination cannot already hold the thread");
         self.placement.insert(id, to);
@@ -330,7 +362,7 @@ impl Machine {
                 },
             );
         }
-        Ok(from)
+        Ok((from, ThreadSlot { cpu: to, slot }))
     }
 
     /// Removes a thread from the machine but returns its transplantable
@@ -348,12 +380,12 @@ impl Machine {
     /// Installs a thread previously removed with
     /// [`Machine::extract_thread`] (possibly from another machine) on an
     /// explicit CPU, preserving its reservation, throttle state and
-    /// mid-period usage account.
+    /// mid-period usage account.  Returns the thread's address.
     pub fn inject_thread_on(
         &mut self,
         cpu: CpuId,
         thread: MigratedThread,
-    ) -> Result<(), SchedError> {
+    ) -> Result<ThreadSlot, SchedError> {
         let id = thread.id;
         if cpu.index() >= self.cpus.len() {
             return Err(SchedError::InvalidState(id, "destination CPU out of range"));
@@ -361,9 +393,9 @@ impl Machine {
         if self.placement.contains_key(&id) {
             return Err(SchedError::DuplicateThread(id));
         }
-        self.cpus[cpu.index()].inject_thread(thread)?;
+        let slot = self.cpus[cpu.index()].inject_thread(thread)?;
         self.placement.insert(id, cpu);
-        Ok(())
+        Ok(ThreadSlot { cpu, slot })
     }
 
     fn on(&mut self, id: ThreadId) -> Result<&mut Dispatcher, SchedError> {
@@ -374,14 +406,26 @@ impl Machine {
         Ok(&mut self.cpus[cpu.index()])
     }
 
-    /// Changes a thread's reservation on its current CPU (the controller's
-    /// per-cycle actuation path).
+    /// Changes a thread's reservation on its current CPU, resolving the
+    /// thread by id.  The controller's per-cycle actuation goes through
+    /// [`Machine::set_reservation_slot`] instead.
     pub fn set_reservation(
         &mut self,
         id: ThreadId,
         reservation: Reservation,
     ) -> Result<(), SchedError> {
         self.on(id)?.set_reservation(id, reservation)
+    }
+
+    /// Changes the reservation of the thread at a known address — the
+    /// controller's per-cycle actuation path, with no id lookup (see
+    /// [`Dispatcher::set_reservation_slot`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` names a CPU out of range or a free slot.
+    pub fn set_reservation_slot(&mut self, at: ThreadSlot, reservation: Reservation) {
+        self.cpus[at.cpu.index()].set_reservation_slot(at.slot, reservation);
     }
 
     /// Returns a thread's current reservation, if it is reserved.
@@ -586,9 +630,14 @@ mod tests {
         );
         let used = m.usage(ThreadId(1)).unwrap().total_used_us;
 
-        let from = m.migrate(ThreadId(1), CpuId(1)).unwrap();
+        let (from, at) = m.migrate(ThreadId(1), CpuId(1)).unwrap();
         assert_eq!(from, CpuId(0));
         assert_eq!(m.cpu_of(ThreadId(1)), Some(CpuId(1)));
+        assert_eq!(
+            m.slot_of(ThreadId(1)),
+            Some(at),
+            "migrate reports the new address"
+        );
         assert_eq!(
             m.dispatcher(CpuId(1)).thread_state(ThreadId(1)),
             Some(ThreadState::Throttled),
@@ -606,11 +655,45 @@ mod tests {
     }
 
     #[test]
+    fn placement_calls_return_the_threads_address() {
+        let mut m = Machine::new(DispatcherConfig::default(), 2);
+        let a = m
+            .add_thread_preadmitted_on(CpuId(0), ThreadId(1), res(100, 10))
+            .unwrap();
+        let b = m
+            .add_thread_preadmitted_on(CpuId(0), ThreadId(2), res(100, 10))
+            .unwrap();
+        assert_eq!((a.cpu, b.cpu), (CpuId(0), CpuId(0)));
+        assert_ne!(a.slot, b.slot);
+        assert_eq!(m.slot_of(ThreadId(1)), Some(a));
+        assert_eq!(m.slot_of(ThreadId(2)), Some(b));
+
+        let (from, moved) = m.migrate(ThreadId(1), CpuId(1)).unwrap();
+        assert_eq!((from, moved.cpu), (CpuId(0), CpuId(1)));
+        assert_eq!(m.slot_of(ThreadId(1)), Some(moved));
+        m.set_reservation_slot(moved, res(300, 10));
+        assert_eq!(m.reservation(ThreadId(1)), Some(res(300, 10)));
+        assert_eq!(m.cpu_load_ppt(CpuId(1)), 300);
+        assert_eq!(m.cpu_load_ppt(CpuId(0)), 100);
+
+        let t = m.extract_thread(ThreadId(2)).unwrap();
+        assert_eq!(m.slot_of(ThreadId(2)), None);
+        let back = m.inject_thread_on(CpuId(1), t).unwrap();
+        assert_eq!(back.cpu, CpuId(1));
+        assert_eq!(m.slot_of(ThreadId(2)), Some(back));
+    }
+
+    #[test]
     fn migrate_to_same_cpu_is_a_noop() {
         let mut m = Machine::new(DispatcherConfig::default(), 2);
         m.add_thread_preadmitted_on(CpuId(1), ThreadId(1), res(100, 10))
             .unwrap();
-        assert_eq!(m.migrate(ThreadId(1), CpuId(1)), Ok(CpuId(1)));
+        let at = m.slot_of(ThreadId(1));
+        assert_eq!(
+            m.migrate(ThreadId(1), CpuId(1))
+                .map(|(from, at)| (from, Some(at))),
+            Ok((CpuId(1), at))
+        );
         assert_eq!(m.cpu_of(ThreadId(1)), Some(CpuId(1)));
     }
 

@@ -779,6 +779,49 @@ mod tests {
         assert_eq!(c0 + c1, 12, "jobs are conserved across shards");
     }
 
+    #[test]
+    fn cached_addresses_follow_rebalancer_migrations() {
+        let mut sim = ShardedSim::new(
+            SimConfig::default().with_cpus(4),
+            ShardConfig {
+                shards: 2,
+                rebalance_interval_s: 0.05,
+                rebalance_threshold_ppt: 10,
+                parallel: false,
+            },
+        );
+        let mut handles = Vec::new();
+        for i in 0..12 {
+            handles.push(
+                sim.add_job(&format!("hog{i}"), JobSpec::miscellaneous(), Box::new(Spin))
+                    .unwrap(),
+            );
+        }
+        for round in 0..40 {
+            sim.run_for(0.025);
+            for shard in &sim.shards {
+                shard.assert_addrs_coherent();
+            }
+            if round % 8 == 7 {
+                let gone = handles.remove(0);
+                sim.remove_job(gone);
+                handles.push(
+                    sim.add_job(
+                        &format!("new{round}"),
+                        JobSpec::miscellaneous(),
+                        Box::new(Spin),
+                    )
+                    .unwrap(),
+                );
+                for shard in &sim.shards {
+                    shard.assert_addrs_coherent();
+                }
+            }
+        }
+        let (_, migrations) = sim.rebalance_counts();
+        assert!(migrations > 0, "the rebalancer moved no job");
+    }
+
     use proptest::prelude::*;
 
     proptest! {

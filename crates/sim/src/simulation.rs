@@ -30,13 +30,13 @@ use crate::event::Event;
 use crate::trace::Trace;
 use crate::workload::WorkModel;
 use rrs_core::{
-    controller::AdmitError, Controller, ControllerConfig, ControllerEvent, JobHandle, JobId,
-    JobSlot, JobSpec, SimTime, UsageSnapshot,
+    controller::AdmitError, ControlOutput, Controller, ControllerConfig, ControllerEvent,
+    JobHandle, JobId, JobSlot, JobSpec, SimTime, UsageSnapshot,
 };
 use rrs_queue::MetricRegistry;
 use rrs_scheduler::{
     CpuId, CpuStats, DispatchOutcome, Dispatcher, DispatcherConfig, Machine, MigratedThread,
-    Period, Proportion, Reservation, ThreadId, ThreadState,
+    Period, Proportion, Reservation, ThreadId, ThreadSlot, ThreadState,
 };
 use rrs_telemetry::{
     CalendarEventKind, Recorder, TelemetryConfig, TelemetrySnapshot, TraceEventKind,
@@ -175,6 +175,14 @@ pub struct SimStats {
     pub per_cpu: Vec<CpuStats>,
 }
 
+/// Where a live job's thread sits: its id and its machine address (CPU
+/// and dispatcher slot).  The simulator keeps one per controller slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct JobAddr {
+    thread: ThreadId,
+    at: ThreadSlot,
+}
+
 struct SimThread {
     name: String,
     slot: JobSlot,
@@ -230,9 +238,11 @@ pub struct Simulation {
     /// a dispatched thread's work model without a map lookup.  Entries are
     /// `None` for removed jobs and for index 0.
     threads: Vec<Option<SimThread>>,
-    /// Slot-indexed map back to the dispatcher's thread id, so actuations
-    /// apply without re-deriving `JobId ↔ ThreadId`.
-    slot_threads: Vec<Option<ThreadId>>,
+    /// Controller-slot-indexed addresses of every live job's thread, kept
+    /// current wherever placement changes (add, remove, Place-stage
+    /// migration, shard extract/inject), so actuations apply with no
+    /// id-map lookup.
+    addrs: Vec<Option<JobAddr>>,
     /// The blocked-thread calendar: ids whose work model reported a block
     /// and has not yet been polled awake.  Keeping them indexed (in id
     /// order, matching the original full scan) makes the per-step poll
@@ -342,7 +352,7 @@ impl Simulation {
             machine,
             controller,
             threads: Vec::new(),
-            slot_threads: Vec::new(),
+            addrs: Vec::new(),
             blocked: BTreeSet::new(),
             poll_buf: Vec::new(),
             scratch_wakes: Vec::new(),
@@ -558,6 +568,14 @@ impl Simulation {
             .and_then(Option::take)
     }
 
+    fn set_addr(&mut self, slot: JobSlot, addr: Option<JobAddr>) {
+        let i = slot.index();
+        if self.addrs.len() <= i {
+            self.addrs.resize(i + 1, None);
+        }
+        self.addrs[i] = addr;
+    }
+
     /// Adds a job.
     ///
     /// The job is registered with the controller (real-time jobs go through
@@ -584,10 +602,6 @@ impl Simulation {
             }
         };
         self.next_id += self.id_stride;
-        if self.slot_threads.len() <= slot.index() {
-            self.slot_threads.resize(slot.index() + 1, None);
-        }
-        self.slot_threads[slot.index()] = Some(thread);
 
         let initial = Reservation::new(
             spec.proportion
@@ -600,9 +614,11 @@ impl Simulation {
             .controller
             .cpu_of_slot(slot)
             .expect("slot was just created");
-        self.machine
+        let at = self
+            .machine
             .add_thread_preadmitted_on(cpu, thread, initial)
             .expect("fresh thread id cannot clash");
+        self.set_addr(slot, Some(JobAddr { thread, at }));
 
         let i = thread.0 as usize;
         if self.threads.len() <= i {
@@ -628,9 +644,7 @@ impl Simulation {
         }
         let _ = self.machine.remove_thread(handle.thread);
         if self.controller.remove_slot(handle.slot) {
-            if let Some(entry) = self.slot_threads.get_mut(handle.slot.index()) {
-                *entry = None;
-            }
+            self.set_addr(handle.slot, None);
         }
     }
 
@@ -657,9 +671,7 @@ impl Simulation {
         if let Some(id) = self.take_wake_event(tid) {
             self.calendar.cancel(id);
         }
-        if let Some(s) = self.slot_threads.get_mut(slot.index()) {
-            *s = None;
-        }
+        self.set_addr(slot, None);
         Some(MigratedSimJob {
             name: sim_thread.name,
             work: sim_thread.work,
@@ -690,13 +702,11 @@ impl Simulation {
         let tid = ThreadId(job.0);
         let was_blocked = mthread.state() == ThreadState::Blocked;
         let slot = self.controller.inject_job(mjob, cpu)?;
-        self.machine
+        let at = self
+            .machine
             .inject_thread_on(cpu, mthread)
             .expect("controller accepted the id, so the machine must too");
-        if self.slot_threads.len() <= slot.index() {
-            self.slot_threads.resize(slot.index() + 1, None);
-        }
-        self.slot_threads[slot.index()] = Some(tid);
+        self.set_addr(slot, Some(JobAddr { thread: tid, at }));
         if was_blocked {
             let mut scheduled = false;
             if self.config.stepping == SteppingMode::Calendar {
@@ -1141,33 +1151,13 @@ impl Simulation {
         let out = self
             .controller
             .control_cycle_with_dt(now_s, dt_us as f64 * 1e-6);
-        self.stats.controller_invocations += 1;
-        self.stats.controller_cost_us += out.cost_us;
-        for event in &out.events {
-            match event {
-                ControllerEvent::Quality(_) => self.stats.quality_exceptions += 1,
-                ControllerEvent::Squished { .. } => self.stats.squish_events += 1,
-                _ => {}
-            }
-        }
-        let migration_cost = self.config.migration_cost_us;
-        for actuation in &out.actuations {
-            if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
-                let _ = self.machine.set_reservation(*tid, actuation.reservation);
-                let from = self.machine.cpu_of(*tid);
-                if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
-                {
-                    self.stats.migrations += 1;
-                    if let Some(from) = from {
-                        self.stats.per_cpu[from.index()].migrations_out += 1;
-                    }
-                    self.stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
-                    if migration_cost > 0 {
-                        let _ = self.machine.charge(*tid, migration_cost);
-                    }
-                }
-            }
-        }
+        apply_cycle_output(
+            &mut self.machine,
+            &mut self.addrs,
+            &mut self.stats,
+            self.config.migration_cost_us,
+            out,
+        );
         if self.config.charge_controller_cost {
             self.now_us += out.cost_us.round() as u64;
         }
@@ -1368,36 +1358,13 @@ impl Simulation {
         }
         let now_s = self.now_seconds();
         let out = self.controller.control_cycle_in_place(now_s);
-        self.stats.controller_invocations += 1;
-        self.stats.controller_cost_us += out.cost_us;
-        for event in &out.events {
-            match event {
-                ControllerEvent::Quality(_) => self.stats.quality_exceptions += 1,
-                ControllerEvent::Squished { .. } => self.stats.squish_events += 1,
-                _ => {}
-            }
-        }
-        let migration_cost = self.config.migration_cost_us;
-        for actuation in &out.actuations {
-            if let Some(Some(tid)) = self.slot_threads.get(actuation.slot.index()) {
-                let _ = self.machine.set_reservation(*tid, actuation.reservation);
-                // Apply the Place stage's decision: move the thread to its
-                // assigned CPU and charge the modelled migration cost to
-                // its budget (cache and TLB refill on the new CPU).
-                let from = self.machine.cpu_of(*tid);
-                if from != Some(actuation.cpu) && self.machine.migrate(*tid, actuation.cpu).is_ok()
-                {
-                    self.stats.migrations += 1;
-                    if let Some(from) = from {
-                        self.stats.per_cpu[from.index()].migrations_out += 1;
-                    }
-                    self.stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
-                    if migration_cost > 0 {
-                        let _ = self.machine.charge(*tid, migration_cost);
-                    }
-                }
-            }
-        }
+        apply_cycle_output(
+            &mut self.machine,
+            &mut self.addrs,
+            &mut self.stats,
+            self.config.migration_cost_us,
+            out,
+        );
         if self.config.charge_controller_cost {
             self.now_us += out.cost_us.round() as u64;
         }
@@ -1452,6 +1419,36 @@ impl Simulation {
         }
     }
 
+    /// Panics unless the cached address table agrees with every layer: one
+    /// entry per live controller job, filed under the job's controller
+    /// slot, naming the CPU the placement map holds the thread on and the
+    /// slot that CPU's dispatcher maps the thread to.
+    #[cfg(test)]
+    pub(crate) fn assert_addrs_coherent(&self) {
+        let live = self.addrs.iter().flatten().count();
+        assert_eq!(
+            live,
+            self.controller.job_count(),
+            "one address per live job"
+        );
+        for (i, addr) in self.addrs.iter().enumerate() {
+            let Some(JobAddr { thread, at }) = *addr else {
+                continue;
+            };
+            let slot = self
+                .controller
+                .slot_of(JobId(thread.0))
+                .expect("addresses name live jobs");
+            assert_eq!(slot.index(), i, "{thread} filed under another slot");
+            assert_eq!(self.machine.cpu_of(thread), Some(at.cpu), "{thread}: cpu");
+            assert_eq!(
+                self.machine.dispatcher(at.cpu).slot_of(thread),
+                Some(at.slot),
+                "{thread}: dispatcher slot"
+            );
+        }
+    }
+
     /// Forces a reservation directly on the dispatcher, bypassing the
     /// controller.  Used by experiments that pin a thread's allocation (for
     /// example the Figure 8 sweep, which runs without the controller).
@@ -1459,6 +1456,55 @@ impl Simulation {
         let _ = self
             .machine
             .set_reservation(handle.thread, Reservation::new(proportion, period));
+    }
+}
+
+/// Applies one controller cycle's output — the one apply loop both
+/// steppers share.  Counts the cycle, its modelled cost and its events,
+/// then actuates: each grant goes to the job's cached address with no id
+/// lookup.  When the Place stage moved the job, the thread migrates to its
+/// assigned CPU, the cached address follows it, the migration is counted
+/// on both CPUs and the modelled migration cost (cache and TLB refill on
+/// the new CPU) is charged to its budget.
+fn apply_cycle_output(
+    machine: &mut Machine,
+    addrs: &mut [Option<JobAddr>],
+    stats: &mut SimStats,
+    migration_cost_us: u64,
+    out: &ControlOutput,
+) {
+    stats.controller_invocations += 1;
+    stats.controller_cost_us += out.cost_us;
+    for event in &out.events {
+        match event {
+            ControllerEvent::Quality(_) => stats.quality_exceptions += 1,
+            ControllerEvent::Squished { .. } => stats.squish_events += 1,
+            _ => {}
+        }
+    }
+    for actuation in &out.actuations {
+        let Some(Some(addr)) = addrs.get_mut(actuation.slot.index()) else {
+            continue;
+        };
+        debug_assert_eq!(
+            machine.slot_of(addr.thread),
+            Some(addr.at),
+            "stale cached address for {}",
+            addr.thread
+        );
+        machine.set_reservation_slot(addr.at, actuation.reservation);
+        if addr.at.cpu == actuation.cpu {
+            continue;
+        }
+        if let Ok((from, at)) = machine.migrate(addr.thread, actuation.cpu) {
+            addr.at = at;
+            stats.migrations += 1;
+            stats.per_cpu[from.index()].migrations_out += 1;
+            stats.per_cpu[actuation.cpu.index()].migrations_in += 1;
+            if migration_cost_us > 0 {
+                let _ = machine.charge(addr.thread, migration_cost_us);
+            }
+        }
     }
 }
 
@@ -2390,6 +2436,60 @@ mod tests {
             let (now_b, stats_b) = run();
             prop_assert_eq!(now_a, now_b);
             prop_assert_eq!(stats_a, stats_b);
+        }
+    }
+
+    #[test]
+    fn cached_addresses_follow_migration_and_slot_reuse() {
+        for stepping in [SteppingMode::Calendar, SteppingMode::Lockstep] {
+            let mut sim =
+                Simulation::new(SimConfig::default().with_cpus(2).with_stepping(stepping));
+            let mut jobs: Vec<JobHandle> = (0..3)
+                .map(|i| {
+                    sim.add_job(
+                        &format!("j{i}"),
+                        JobSpec::miscellaneous(),
+                        Box::new(Spin::new()),
+                    )
+                    .unwrap()
+                })
+                .collect();
+            sim.assert_addrs_coherent();
+            let (mut job_slot_reused, mut thread_slot_reused) = (false, false);
+            for round in 0..6 {
+                let end = sim.now_micros() + 500_000;
+                while sim.now_micros() < end {
+                    sim.step();
+                    sim.assert_addrs_coherent();
+                }
+                // Churn one job: the newcomer takes the freed controller
+                // slot, and the freed dispatcher slot when it lands on the
+                // same CPU.
+                let gone = jobs.remove(round % jobs.len());
+                let gone_at = sim.machine().slot_of(gone.thread);
+                sim.remove_job(gone);
+                sim.assert_addrs_coherent();
+                let h = sim
+                    .add_job(
+                        &format!("n{round}"),
+                        JobSpec::miscellaneous(),
+                        Box::new(Spin::new()),
+                    )
+                    .unwrap();
+                sim.assert_addrs_coherent();
+                job_slot_reused |= h.slot.index() == gone.slot.index();
+                thread_slot_reused |= sim.machine().slot_of(h.thread) == gone_at;
+                jobs.push(h);
+            }
+            assert!(
+                sim.stats().migrations > 0,
+                "{stepping:?}: no Place-stage migration"
+            );
+            assert!(job_slot_reused, "{stepping:?}: no controller slot reused");
+            assert!(
+                thread_slot_reused,
+                "{stepping:?}: no dispatcher slot reused"
+            );
         }
     }
 
